@@ -3,13 +3,13 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.expressions.UserDefinedFunction
+import scala.annotation.tailrec
 
 /** Configuration of the AdaWave pipeline.
   *
   * The paper presents AdaWave as parameter-free; [[AdaWaveConfig.auto]]
-  * encodes its defaults (`scale = 128` for 2-D, §V-B) plus a dimension-aware
-  * fallback for higher-dimensional data where 128 bins per dimension would
-  * put every point in its own cell.
+  * encodes its 2-D defaults (`scale = 128`, §V-B) and
+  * [[AdaWave.clusterAuto]] calibrates the grid from the data for d > 2.
   *
   * @param bins        bins per dimension (the paper's `scale`)
   * @param levels      wavelet decomposition levels (average subband only)
@@ -28,28 +28,14 @@ final case class AdaWaveConfig(
 
 object AdaWaveConfig {
 
-  /** Parameter-free defaults: 128 bins for d ≤ 2 (the paper's `scale`
-    * default), otherwise the finest power-of-two grid that (a) keeps the
-    * cell fan-out bounded in dimension (2^ceil(16/d)) and (b) — when the
-    * row count `n` is supplied — keeps a few points per occupied cell under
-    * a low-intrinsic-dimension assumption (≈ √(n/5) bins, at least 8).
+  /** The paper's parameter-free defaults for d ≤ 2: 128 bins per dimension,
+    * one CDF(2,2) level and the 8-neighbourhood. Higher dimensions have no
+    * fixed default: [[AdaWave.clusterAuto]] calibrates their grid.
     */
-  def auto(d: Int, n: Long = 0L, assignNoise: Boolean = false): AdaWaveConfig = {
-    // Hat-shaped CDF(2,2) smoothing helps 2-D spatial data; in higher d its
-    // 5-tap support fans each cell into ~2.5^d transformed cells and blurs
-    // every cluster into one connected mass, so we fall back to Haar. Haar
-    // maps every cell to exactly one transformed cell, so the sparse cell
-    // count never exceeds n regardless of the bin count — the grid can stay
-    // fine in high d and only the per-cell point budget (≈ √(n/5) bins
-    // under a low-intrinsic-dimension assumption) caps it.
-    val bins =
-      if (d <= 2) 128
-      else if (n > 0)
-        math.min(64, math.max(8, Integer.highestOneBit(math.max(1, math.sqrt(n / 5.0).toInt))))
-      else math.max(4, math.min(128, math.pow(2.0, math.ceil(16.0 / d)).toInt))
-    val family: Wavelet.Family = if (d <= 2) Wavelet.CDF22 else Wavelet.Haar
-    AdaWaveConfig(bins = bins, levels = 1, family = family,
-      diagonal = d <= 2, assignNoise = assignNoise)
+  def auto(d: Int, assignNoise: Boolean = false): AdaWaveConfig = {
+    require(d <= 2, s"fixed defaults exist for d <= 2 only, got d = $d; " +
+      "use AdaWave.clusterAuto, which calibrates the grid from the data")
+    AdaWaveConfig(assignNoise = assignNoise)
   }
 }
 
@@ -81,48 +67,55 @@ object AdaWave {
   val ClusterCol = "cluster"
 
   def cluster(df: DataFrame, cols: Seq[String], cfg: AdaWaveConfig): AdaWaveResult = {
+    val maxLevels = 31 - Integer.numberOfLeadingZeros(cfg.bins)
+    require(cfg.levels <= maxLevels, s"levels = ${cfg.levels} exceeds log2(bins = ${cfg.bins}) = " +
+      s"$maxLevels: the transform would merge the grid below one cell per dimension")
     val q = Grid.quantize(df, cols, cfg.bins)
-    run(q, 0, cfg, cols)
+    run(q, q.cells, 0, cfg, cols)
   }
 
-  /** Fully parameter-free entry point. For d ≤ 2 this is the paper's
-    * default (`scale = 128`, CDF(2,2)). For higher dimensions the grid
-    * resolution is auto-calibrated to the data's (unknown) intrinsic
-    * dimension: quantize once at a fine 64-bin grid, then merge cells
-    * dyadically (a driver-side O(M) fold — Haar cells nest) until the
-    * occupied-cell count drops below n/3, i.e. until cells hold enough
-    * points for densities to be meaningful.
+  /** Fully parameter-free entry point: calibrate the grid, then run.
+    *
+    * For d ≤ 2 the grid is the paper's fixed default
+    * ([[AdaWaveConfig.auto]]). For higher dimensions the resolution is
+    * calibrated to the data's (unknown) intrinsic dimension: quantize once
+    * at a fine 64-bin grid, then merge cells dyadically (a driver-side O(M)
+    * fold — Haar cells nest) while the next level still holds more than n/3
+    * occupied cells, i.e. until cells hold enough points for densities to be
+    * meaningful, and at most down to 4 bins. The rule looks one level ahead
+    * because the transform downsamples once more, so the resolution that
+    * matters for densities is bins/2. Each level is coarsened once and the
+    * calibrated cell map goes straight to the transform.
     */
-  def clusterAuto(df: DataFrame, cols: Seq[String], assignNoise: Boolean = false): AdaWaveResult = {
-    val d = cols.size
-    if (d <= 2)
-      return cluster(df, cols, AdaWaveConfig.auto(d, assignNoise = assignNoise))
-    val fine = 64
-    val q = Grid.quantize(df, cols, fine)
-    val n = q.cells.values.sum
-    var cells = q.cells
-    var shift = 0
-    // Look one level ahead: the transform downsamples once more, so the
-    // resolution that matters for densities is bins/2.
-    while ((fine >> shift) > 4 && coarsen(cells).size > n / 3) {
-      cells = coarsen(cells)
-      shift += 1
+  def clusterAuto(df: DataFrame, cols: Seq[String], assignNoise: Boolean = false): AdaWaveResult =
+    if (cols.size <= 2) cluster(df, cols, AdaWaveConfig.auto(cols.size, assignNoise = assignNoise))
+    else {
+      val fine = 64
+      val q = Grid.quantize(df, cols, fine)
+      val n = q.cells.values.sum
+      @tailrec def calibrate(cells: Map[Vector[Int], Double], shift: Int): (Map[Vector[Int], Double], Int) =
+        if ((fine >> shift) <= 4) (cells, shift)
+        else {
+          val next = coarsen(cells)
+          if (next.size > n / 3) calibrate(next, shift + 1) else (cells, shift)
+        }
+      val (cells, shift) = calibrate(q.cells, 0)
+      // Haar, not CDF(2,2): its 2-tap support maps every cell to exactly one
+      // transformed cell, where a 5-tap filter fans each cell into ~2.5^d
+      // transformed cells and blurs every cluster into one connected mass.
+      val cfg = AdaWaveConfig(bins = fine >> shift, levels = 1, family = Wavelet.Haar,
+        diagonal = false, assignNoise = assignNoise)
+      run(q, cells, shift, cfg, cols)
     }
-    val cfg = AdaWaveConfig(bins = fine >> shift, levels = 1, family = Wavelet.Haar,
-      diagonal = false, assignNoise = assignNoise)
-    run(q, shift, cfg, cols)
-  }
 
   /** Merge a sparse cell map one dyadic level coarser (Haar-nested). */
   def coarsen(cells: Map[Vector[Int], Double]): Map[Vector[Int], Double] =
     cells.toSeq.groupMapReduce(_._1.map(_ >> 1))(_._2)(_ + _)
 
-  private def run(q: Quantized, coarsenShift: Int, cfg: AdaWaveConfig,
-                  cols: Seq[String]): AdaWaveResult = {
+  /** Steps 2–6 on `cells`: `q.cells` merged `coarsenShift` dyadic levels. */
+  private def run(q: Quantized, cells: Map[Vector[Int], Double], coarsenShift: Int,
+                  cfg: AdaWaveConfig, cols: Seq[String]): AdaWaveResult = {
     val d = cols.size
-    // Step 1 happened in the caller; apply any auto-calibration coarsening.
-    var cells = q.cells
-    for (_ <- 0 until coarsenShift) cells = coarsen(cells)
 
     // Step 2: wavelet decomposition, average subband only.
     val transformed = Wavelet.transform(cells, d, cfg.family, cfg.levels)

@@ -38,8 +38,11 @@ object Grid {
       cols.flatMap(c => Seq(min(col(c)).cast("double"), max(col(c)).cast("double")))
     val row = df.agg(aggs.head, aggs.tail: _*).head()
     val d = cols.size
-    val mins = Array.tabulate(d)(i => row.getDouble(2 * i))
-    val maxs = Array.tabulate(d)(i => row.getDouble(2 * i + 1))
+    // Bounds are null only for a column without values, as in an empty
+    // frame; such a dimension is treated as constant 0.
+    def bound(i: Int) = if (row.isNullAt(i)) 0.0 else row.getDouble(i)
+    val mins = Array.tabulate(d)(i => bound(2 * i))
+    val maxs = Array.tabulate(d)(i => bound(2 * i + 1))
     // Constant dimensions get width 1 so every point lands in bin 0.
     val widths = Array.tabulate(d) { i =>
       val w = (maxs(i) - mins(i)) / bins

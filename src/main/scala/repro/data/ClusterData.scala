@@ -62,14 +62,9 @@ object ClusterData {
     Array(cx + rr * math.cos(th), cy + rr * math.sin(th))
   }
 
-  /** (x, y, label) rows as a DataFrame for the Spark-side pipeline. */
-  def toDF(spark: SparkSession, x: Array[Array[Double]], labels: Array[Int]): DataFrame = {
-    import spark.implicits._
-    x.zip(labels).toSeq.map { case (p, l) => (p(0), p(1), l) }.toDF("x", "y", "label")
-  }
-
-  /** Arbitrary-dimension variant of [[toDF]] with columns f0..f{d-1},
-    * label, and a stable row id for re-aligning collected results.
+  /** Points as a DataFrame for the Spark-side pipeline: columns
+    * f0..f{d-1}, label, and a stable row id for re-aligning collected
+    * results.
     */
   def toDFn(spark: SparkSession, x: Array[Array[Double]], labels: Array[Int]): DataFrame = {
     import org.apache.spark.sql.Row

@@ -134,7 +134,7 @@ class AdaWaveSpec extends SparkSpec {
       lbl += c + 1
     }
     val (x, truth) = (pts.result(), lbl.result())
-    val pred = run(x, AdaWaveConfig.auto(7, assignNoise = true))
+    val pred = Harness.adaWaveAuto(spark, x, assignNoise = true)
     val ami = AMI.ami(truth, pred)
     assert(ami > 0.6, s"7-D AMI $ami")
   }
@@ -142,10 +142,26 @@ class AdaWaveSpec extends SparkSpec {
   test("auto config follows the paper's scale default and dimension fallback") {
     assert(AdaWaveConfig.auto(2).bins == 128)
     assert(AdaWaveConfig.auto(2).diagonal)
-    val hd = AdaWaveConfig.auto(9)
-    assert(hd.bins >= 4 && hd.bins <= 16)
-    assert(!hd.diagonal)
-    assert(AdaWaveConfig.auto(33).bins == 4)
+    intercept[IllegalArgumentException](AdaWaveConfig.auto(3))
+  }
+
+  test("levels beyond log2(bins) are rejected with both values named") {
+    val (x, _) = blobs(2, 100, 100)
+    val df = ClusterData.toDFn(spark, x, Array.fill(x.length)(0))
+    val e = intercept[IllegalArgumentException](
+      AdaWave.cluster(df, Seq("f0", "f1"), AdaWaveConfig.auto(2).copy(levels = 10)))
+    assert(e.getMessage.contains("levels = 10") && e.getMessage.contains("bins = 128"), e.getMessage)
+  }
+
+  test("empty input yields no clusters and an empty labeled frame") {
+    // d = 2 runs through cluster(), d = 5 through the calibration.
+    for (d <- Seq(2, 5); assignNoise <- Seq(false, true)) {
+      val df = spark.range(0).select((0 until d).map(i => rand(i).as(s"f$i")): _*)
+      val res = AdaWave.clusterAuto(df, df.columns.toSeq, assignNoise)
+      assert(res.numClusters == 0)
+      assert(res.points.count() == 0)
+      assert(res.points.columns.contains(AdaWave.ClusterCol))
+    }
   }
 
   test("wavelet families other than the default also cluster the blobs") {

@@ -35,7 +35,8 @@ class ClusterAutoSpec extends SparkSpec {
     assert(a.numClusters == b.numClusters)
   }
 
-  test("clusterAuto recovers tight 5-D blobs at full auto-calibration") {
+  /** Three tight 5-D Gaussian blobs, 300 points each, labeled 1..3. */
+  private def blobs5d(): (Array[Array[Double]], Array[Int]) = {
     val rnd = new Random(3)
     val centers = Array.fill(3)(Array.fill(5)(rnd.nextDouble()))
     val pts = Array.newBuilder[Array[Double]]
@@ -44,24 +45,62 @@ class ClusterAutoSpec extends SparkSpec {
       pts += Array.tabulate(5)(j => centers(c)(j) + rnd.nextGaussian() * 0.02)
       truth += c + 1
     }
-    val x = pts.result()
-    val df = ClusterData.toDFn(spark, x, Array.fill(x.length)(0))
-    val res = AdaWave.clusterAuto(df, (0 until 5).map(i => s"f$i"), assignNoise = true)
+    (pts.result(), truth.result())
+  }
+
+  /** 300 points spread over an 8-D cube: any fine grid would be all
+    * singletons, so calibration must fall back to a coarse grid.
+    */
+  private def diffuse8d(): Array[Array[Double]] = {
+    val rnd = new Random(4)
+    Array.fill(300)(Array.fill(8)(rnd.nextDouble()))
+  }
+
+  private def frame(x: Array[Array[Double]]) = ClusterData.toDFn(spark, x, Array.fill(x.length)(0))
+
+  private def featureCols(d: Int) = (0 until d).map(i => s"f$i")
+
+  test("clusterAuto recovers tight 5-D blobs at full auto-calibration") {
+    val (x, truth) = blobs5d()
+    val res = AdaWave.clusterAuto(frame(x), featureCols(5), assignNoise = true)
     val pred = Array.ofDim[Int](x.length)
     res.points.select("id", AdaWave.ClusterCol).collect()
       .foreach(r => pred(r.getLong(0).toInt) = r.getInt(1))
-    assert(AMI.ami(truth.result(), pred) > 0.9)
+    assert(AMI.ami(truth, pred) > 0.9)
   }
 
   test("clusterAuto coarsens diffuse full-rank data instead of fragmenting it") {
-    val rnd = new Random(4)
-    // 300 points spread over an 8-D cube: any fine grid would be all
-    // singletons; auto-calibration must fall back to a coarse grid.
-    val x = Array.fill(300)(Array.fill(8)(rnd.nextDouble()))
-    val df = ClusterData.toDFn(spark, x, Array.fill(x.length)(0))
-    val res = AdaWave.clusterAuto(df, (0 until 8).map(i => s"f$i"), assignNoise = false)
+    val res = AdaWave.clusterAuto(frame(diffuse8d()), featureCols(8), assignNoise = false)
     assert(res.numClusters >= 1)
     assert(res.points.count() == 300)
+  }
+
+  test("clusterAuto equals the stage sequence composed from the layer functions") {
+    // The 8-D input stops at the 4-bin floor, the 5-D one on the n/3 rule.
+    for ((x, expectedBins) <- Seq(blobs5d()._1 -> 32, diffuse8d() -> 4)) {
+      val d = x.head.length
+      val df = frame(x)
+      val cols = featureCols(d)
+      // Quantize at 64 bins, then coarsen while the grid is above 4 bins and
+      // the next level keeps more than n/3 occupied cells.
+      val q = Grid.quantize(df, cols, 64)
+      val n = q.cells.values.sum
+      var cells = q.cells
+      var bins = 64
+      while (bins > 4 && AdaWave.coarsen(cells).size > n / 3) {
+        cells = AdaWave.coarsen(cells)
+        bins /= 2
+      }
+      assert(bins == expectedBins, s"d = $d")
+      val positive = Wavelet.transform(cells, d, Wavelet.Haar, 1).filter(_._2 > 0)
+      val thr = Elbow.threshold(positive.values)
+      val labels = ConnectedComponents.label(
+        positive.collect { case (c, v) if v >= thr => c }.toSet, diagonal = false)
+
+      val res = AdaWave.clusterAuto(df, cols, assignNoise = false)
+      assert(res.threshold == thr, s"d = $d")
+      assert(res.cellLabels == labels, s"d = $d")
+    }
   }
 
   test("clusterAuto is deterministic") {

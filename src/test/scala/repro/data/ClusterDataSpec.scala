@@ -56,13 +56,6 @@ class ClusterDataSpec extends SparkSpec {
     assert(x1.zip(x2).forall { case (p, q) => p.sameElements(q) })
   }
 
-  test("toDF carries x, y and label") {
-    val (x, y) = ClusterData.runningExample(100, 0.2)
-    val df = ClusterData.toDF(spark, x, y)
-    assert(df.columns.toSeq == Seq("x", "y", "label"))
-    assert(df.count() == x.length)
-  }
-
   test("toDFn builds f columns plus label and a stable id") {
     val (x, y) = ClusterData.runningExample(50, 0.2)
     val df = ClusterData.toDFn(spark, x, y)
